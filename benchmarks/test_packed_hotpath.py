@@ -14,8 +14,15 @@ the packed representation carried end-to-end (sort → exchange → merge):
   (``decode_run()``: a packed run crosses the exchange boundary with *no*
   per-string materialization, where the scalar path rebuilds a
   ``list[bytes]``);
-* ``merge``      — multiway LCP merge of the received runs (batched
-  segment emission into a packed output vs the per-string loser tree).
+* ``merge``      — multiway LCP merge of the received runs (the packed
+  loser-tree kernel vs the scalar oracle).  The runs are the buckets of
+  one sorted run, which never interleave: every segment is a whole run,
+  so this stage is the merge's **best case**.
+
+Another test covers the merge's worst case: runs dealt from one corpus
+interleave, so winner segments average about one string.  It asserts the
+packed merge stays bit-identical to the oracle and scales linearly there
+(``INTERLEAVED_SCALING_GATE``).
 
 Each stage runs twice: once over ``list[bytes]`` with the scalar code
 (``use_packed(False)``) and once over :class:`PackedStringArray` with the
@@ -49,7 +56,7 @@ from repro.bench.harness import peak_rss_bytes
 from repro.dist.api import ALGORITHMS, dsort
 from repro.dist.exchange import LcpCompressedBlock, StringBlock
 from repro.dist.partition import split_into_buckets, string_based_samples, select_splitters
-from repro.sequential import sort_strings_with_lcp
+from repro.sequential import CharStats, sort_strings_with_lcp
 from repro.sequential.lcp_losertree import lcp_multiway_merge, lcp_multiway_merge_packed
 from repro.sequential.msd_radix import msd_radix_sort
 from repro.strings.generators import commoncrawl_like, dn_instance
@@ -72,6 +79,13 @@ END_TO_END_GATE = 3.0
 # aggregate would redefine what the 5x gate measures)
 _EXCHANGE_STAGES = ("lcp", "partition", "encode", "wire", "decode")
 
+# the interleaved merge at 4x the input may take at most this much longer
+# (a linear merge measures about 4; one that rescans the rest of a run per
+# segment, about 6.4); 20k and 80k strings at the default scale
+_INTERLEAVED_LARGE = min(80_000, NUM_STRINGS)
+INTERLEAVED_SIZES = (_INTERLEAVED_LARGE // 4, _INTERLEAVED_LARGE)
+INTERLEAVED_SCALING_GATE = 5.0
+
 # per-stage regression floors (speedup of packed over scalar).  ``decode``
 # is the PR 6 tentpole: ``decode_run()`` hands the merge a packed run
 # without materializing strings, where PR 2's ``decode()``-both-sides
@@ -84,7 +98,7 @@ STAGE_FLOORS = {
     "partition": 2.5,
     "encode": 2.5,
     "decode": 3.0,
-    "merge": 4.0,
+    "merge": 4.0,  # best case: disjoint buckets, one segment per run
 }
 
 _RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
@@ -278,6 +292,46 @@ def test_packed_exchange_hotpath_speedup(local_run):
             f"stage '{stage}' only {got:.2f}x faster than scalar "
             f"(floor {floor}x)"
         )
+
+
+def _interleaved_runs(strings):
+    """``strings`` dealt into 4 runs, each sorted, with their LCP arrays."""
+    runs = [PackedStringArray.from_strings(sorted(strings[i::4])) for i in range(4)]
+    return runs, [packed_lcp_array(r) for r in runs]
+
+
+def test_packed_merge_linear_on_interleaved_runs(local_run):
+    """Worst case for segment emission: 4 interleaved runs, bit-identical to
+    the oracle, and best-of-3 t(80k)/t(20k) within the scaling gate."""
+    corpus = local_run[0]
+    inputs = {n: _interleaved_runs(corpus[:n]) for n in INTERLEAVED_SIZES}
+    for runs, run_lcps in inputs.values():
+        stats = CharStats()
+        merged, merged_lcps = lcp_multiway_merge_packed(runs, run_lcps, stats)
+        oracle_stats = CharStats()
+        expected, expected_lcps = lcp_multiway_merge(
+            [r.to_list() for r in runs], [h.tolist() for h in run_lcps], oracle_stats
+        )
+        assert merged.to_list() == expected
+        assert merged_lcps.tolist() == expected_lcps
+        assert stats == oracle_stats
+
+    # wall-clock gates flake under noisy-neighbour CPU contention; keep the
+    # best of a few attempts (each time is already best-of-3)
+    small, large = INTERLEAVED_SIZES
+    ratio = float("inf")
+    for _ in range(3):
+        times = {
+            n: _timed(lambda: lcp_multiway_merge_packed(runs, run_lcps), reps=3)[0]
+            for n, (runs, run_lcps) in inputs.items()
+        }
+        ratio = min(ratio, times[large] / times[small])
+        if ratio <= INTERLEAVED_SCALING_GATE:
+            break
+    assert ratio <= INTERLEAVED_SCALING_GATE, (
+        f"interleaved merge: t({large})/t({small}) = {ratio:.2f} "
+        f"(gate {INTERLEAVED_SCALING_GATE})"
+    )
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -286,8 +286,8 @@ def ms_sort(
         if config.lcp_merge:
             run_lcps = [h for _, h in received]
             if runs and all(isinstance(r, PackedStringArray) for r in runs):
-                # packed end-to-end: batched loser-tree emit into one packed
-                # output buffer; materialised to lists only at the rank
+                # packed end-to-end: the linear loser-tree kernel writes one
+                # packed output buffer; materialised to lists only at the rank
                 # output boundary (contents bit-identical to the scalar merge)
                 merged, merged_lcps = lcp_multiway_merge_packed(
                     runs, run_lcps, stats

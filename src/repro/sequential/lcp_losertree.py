@@ -22,11 +22,17 @@ apply:
 * equal cached LCPs  →  compare characters starting at that offset.
 
 The merge also produces the LCP array of the output sequence for free.
+
+Two implementations share these rules: :class:`LcpLoserTree` /
+:func:`lcp_multiway_merge`, the readable scalar tree over ``list[bytes]``
+that the tests use as the oracle, and :func:`lcp_multiway_merge_packed`,
+the kernel the distributed merge sort runs on packed runs, which must match
+the oracle's outputs, LCP arrays and :class:`CharStats` exactly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,17 +71,15 @@ class LcpLoserTree:
         while size < k:
             size *= 2
         self._k = size
-        # packed runs stay packed (the batched emit slices their buffers
-        # directly); list runs keep the original list-of-bytes layout
-        self._runs: List[Union[List[bytes], PackedStringArray]] = [
-            r if isinstance(r, PackedStringArray) else list(r) for r in runs
-        ] + [[] for _ in range(size - len(runs))]
+        self._runs: List[List[bytes]] = [list(r) for r in runs] + [
+            [] for _ in range(size - len(runs))
+        ]
         if lcps is None:
             self._run_lcps = [self._compute_lcps(r) for r in self._runs]
         else:
-            self._run_lcps = [
-                h if isinstance(h, np.ndarray) else list(h) for h in lcps
-            ] + [[] for _ in range(size - len(lcps))]
+            self._run_lcps = [list(h) for h in lcps] + [
+                [] for _ in range(size - len(lcps))
+            ]
             for i, r in enumerate(self._runs):
                 if len(self._run_lcps[i]) != len(r):
                     raise ValueError(
@@ -91,9 +95,9 @@ class LcpLoserTree:
         # only meaningful for runs on the most recently replayed path, which
         # is exactly when the value is read.
         self._cur_lcp = [0] * size
-        # node i >= 1: loser run index and LCP(loser, winner that passed)
+        # node i >= 1: loser run index (its LCP to the winner that passed the
+        # node lives in ``_cur_lcp`` — a run is the loser of one node at most)
         self._loser = [0] * size
-        self._loser_lcp = [0] * size
         self._winner = 0
         self._winner_lcp = 0
         self._init_tree()
@@ -161,7 +165,6 @@ class LcpLoserTree:
             w, loser, h = self._play(left, right)
             winners[node] = w
             self._loser[node] = loser
-            self._loser_lcp[node] = h
             # the loser's cached LCP must refer to the winner that passed it,
             # which is the reference string the next replay of this node uses
             self._cur_lcp[loser] = h
@@ -206,7 +209,6 @@ class LcpLoserTree:
             opp = self._loser[node]
             winner, loser, h = self._play(cand, opp)
             self._loser[node] = loser
-            self._loser_lcp[node] = h
             # the loser's cached lcp (vs last output) stays what it was; the
             # node additionally remembers LCP(loser, winner) = h for the next
             # time this node is replayed with this winner as the reference
@@ -216,72 +218,6 @@ class LcpLoserTree:
         self._winner = cand
         self._winner_lcp = self._cur_lcp[cand] if self._current[cand] is not None else 0
         return value, out_lcp
-
-    def pop_segment(self) -> Tuple[int, int, int, int]:
-        """Remove the winner *and* every following string of the same run
-        that wins its next tournament without any comparison.
-
-        Returns ``(run, start, stop, first_lcp)``: the strings removed are
-        ``runs[run][start:stop]`` and their output LCPs are ``first_lcp``
-        followed by the run's own LCP entries ``start+1 .. stop-1``.
-
-        Why this is exactly the scalar pop sequence: when the winner ``V``
-        from run ``w`` is popped, every live loser ``l`` on ``w``'s
-        leaf-to-root path caches ``LCP(l, V)`` (the key invariant — ``V``
-        passed each of those nodes on its way to the root), and those losers
-        are the minima of their subtrees, i.e. the only contenders the next
-        candidate must beat.  Let ``M`` be the largest of those cached
-        values.  A following string of run ``w`` whose run-LCP exceeds ``M``
-        wins every path comparison on the cached values alone (strictly
-        larger LCP ⇒ smaller string, no characters inspected) and leaves
-        every cached value unchanged — ``LCP(l, new) = LCP(l, prev)``
-        because ``LCP(prev, new) > LCP(l, prev)``.  The scalar replays it
-        skips are therefore state no-ops with zero character reads, so
-        outputs, LCPs *and* the comparison statistics stay bit-identical.
-        """
-        w = self._winner
-        if self._current[w] is None:
-            raise IndexError("pop from an empty LcpLoserTree")
-        first_lcp = int(self._winner_lcp)
-        start = self._pos[w]
-        run = self._runs[w]
-        run_lcps = self._run_lcps[w]
-
-        ceiling = -1  # largest cached LCP of a live contender on w's path
-        node = (self._k + w) // 2
-        while node >= 1:
-            loser = self._loser[node]
-            if self._current[loser] is not None and self._loser_lcp[node] > ceiling:
-                ceiling = self._loser_lcp[node]
-            node //= 2
-
-        stop = start + 1
-        if stop < len(run):
-            blockers = np.nonzero(np.asarray(run_lcps[stop:]) <= ceiling)[0]
-            stop = stop + int(blockers[0]) if blockers.size else len(run)
-
-        self._pos[w] = stop
-        if stop < len(run):
-            self._current[w] = run[stop]
-            self._cur_lcp[w] = run_lcps[stop]
-        else:
-            self._current[w] = None
-            self._cur_lcp[w] = 0
-
-        # one replay for the whole segment (= the scalar sequence's last one)
-        cand = w
-        node = (self._k + w) // 2
-        while node >= 1:
-            opp = self._loser[node]
-            winner, loser, h = self._play(cand, opp)
-            self._loser[node] = loser
-            self._loser_lcp[node] = h
-            self._cur_lcp_store(loser, h)
-            cand = winner
-            node //= 2
-        self._winner = cand
-        self._winner_lcp = self._cur_lcp[cand] if self._current[cand] is not None else 0
-        return w, start, stop, first_lcp
 
     def _cur_lcp_store(self, run: int, lcp_vs_winner: int) -> None:
         """Record the loser's LCP relative to the winner that just passed it.
@@ -313,6 +249,12 @@ def lcp_multiway_merge(
     return out, out_lcps
 
 
+#: consecutive wins of one run after which the packed merge gallops
+GALLOP_STREAK = 4
+#: first lookahead window of a gallop (each further window doubles)
+GALLOP_WINDOW = 16
+
+
 def lcp_multiway_merge_packed(
     runs: Sequence[PackedStringArray],
     lcps: Sequence[np.ndarray],
@@ -320,35 +262,194 @@ def lcp_multiway_merge_packed(
 ) -> Tuple[PackedStringArray, np.ndarray]:
     """Merge packed sorted runs into one packed run + ``int64`` LCP array.
 
-    The batched-emit twin of :func:`lcp_multiway_merge`: winner segments
-    come out of :meth:`LcpLoserTree.pop_segment` and are appended as bulk
-    buffer slices — no per-string ``bytes`` objects, no list appends.
-    Output strings, LCP values and comparison statistics are bit-identical
-    to the scalar merge of the same runs.
+    The fast twin of :func:`lcp_multiway_merge`, which stays as its test
+    oracle: the same tournament, run in one loop over plain Python values —
+    each run's characters as one ``bytes`` object, its offsets and LCPs as
+    ``int`` lists — so a pop costs ``O(log K)`` interpreter steps and no
+    numpy call.  Output strings, LCP values and comparison statistics are
+    bit-identical to the oracle.
+
+    **Galloping.**  Once one run has won :data:`GALLOP_STREAK` times in a
+    row, its whole next segment is emitted at once.  When the winner ``V``
+    of run ``w`` is popped, every live loser ``l`` on ``w``'s leaf-to-root
+    path caches ``LCP(l, V)`` (``V`` passed each of those nodes on its way
+    to the root), and those losers are the minima of their subtrees, i.e.
+    the only contenders the next candidate must beat.  Let the *ceiling*
+    be the largest of those cached values.  A following string of run
+    ``w`` whose run-LCP exceeds the ceiling wins every path comparison on
+    the cached values alone (strictly larger LCP ⇒ smaller string, no
+    characters inspected) and leaves every cached value unchanged —
+    ``LCP(l, new) = LCP(l, prev)`` because ``LCP(prev, new) > LCP(l,
+    prev)``.  The replays skipped are therefore state no-ops with zero
+    character reads, and one replay after the segment restores the scalar
+    state.  The end of the segment is the first run-LCP at or below the
+    ceiling: the first :data:`GALLOP_WINDOW` entries are scanned in plain
+    Python, further ones in numpy windows of doubling size, so the search
+    reads ``O(segment + GALLOP_WINDOW)`` LCP entries in ``O(log segment)``
+    numpy calls, and none for the short segments of interleaved runs.  Runs
+    that do not interleave (MS buckets of one sorted run, say) would
+    otherwise pay one replay per string.
+
+    **Emission.**  The loop records segments ``(run, start, stop,
+    first_lcp)`` and the output characters as ``bytes`` pieces; one
+    vectorized gather over the concatenated run arrays then builds the
+    output offsets and LCP array, and one ``b"".join`` the buffer.
     """
-    tree = LcpLoserTree(runs, lcps, stats)
-    total = sum(len(r) for r in runs)
-    buf_parts: List[np.ndarray] = []
-    len_parts: List[np.ndarray] = []
-    lcp_parts: List[np.ndarray] = []
-    done = 0
-    while done < total:
-        w, start, stop, first_lcp = tree.pop_segment()
-        run = tree._runs[w]
-        off = run.offsets
-        buf_parts.append(run.buffer[int(off[start]) : int(off[stop])])
-        len_parts.append(run.lengths[start:stop])
-        seg_lcps = np.empty(stop - start, dtype=np.int64)
-        seg_lcps[0] = first_lcp
-        seg_lcps[1:] = tree._run_lcps[w][start + 1 : stop]
-        lcp_parts.append(seg_lcps)
-        done += stop - start
-    if not buf_parts:
+    k = len(runs)
+    if len(lcps) != k:
+        raise ValueError(f"{len(lcps)} LCP arrays for {k} runs")
+    size = 1
+    while size < k:
+        size *= 2
+    lens = [len(r) for r in runs] + [0] * (size - k)
+    datas: List[bytes] = []
+    offs: List[List[int]] = []
+    run_h: List[np.ndarray] = []
+    hls: List[List[int]] = []
+    for i, (run, h) in enumerate(zip(runs, lcps)):
+        h = np.asarray(h, dtype=np.int64)
+        if len(h) != lens[i]:
+            raise ValueError(
+                f"run {i}: LCP array length {len(h)} != run length {lens[i]}"
+            )
+        base = int(run.offsets[0])
+        datas.append(run.buffer[base : int(run.offsets[-1])].tobytes())
+        offs.append((run.offsets - base).tolist())
+        run_h.append(h)
+        hls.append(h.tolist())
+    total = sum(lens)
+    if total == 0:
         return PackedStringArray.empty(), np.zeros(0, dtype=np.int64)
-    out_buf = np.concatenate(buf_parts)
-    lens = np.concatenate(len_parts)
+
+    # per run: current string (None once exhausted), its cached LCP, its
+    # position; per node >= 1: the loser run.  The first round, played on
+    # the runs' first strings, is the oracle's own initialisation.
+    tree = LcpLoserTree(
+        [[datas[i][: offs[i][1]]] if lens[i] else [] for i in range(k)], stats=stats
+    )
+    cur, cl, loser, winner = tree._current, tree._cur_lcp, tree._loser, tree._winner
+    pos = [0] * size
+    n_cmp = n_chars = 0
+    wl = 0  # LCP of the winner to the last output string
+
+    parts: List[bytes] = []
+    # flat (run, start, stop, first_lcp) quadruples: plain ints, which the
+    # garbage collector does not track, unlike one tuple per segment
+    segs: List[int] = []
+    prev = -1
+    seg_start = seg_lcp = streak = 0
+    while True:
+        w = winner
+        v = cur[w]
+        if v is None:
+            break
+        start = pos[w]
+        if w == prev:
+            streak += 1
+        else:
+            if prev >= 0:
+                segs += (prev, seg_start, pos[prev], seg_lcp)
+            prev, seg_start, seg_lcp, streak = w, start, wl, 1
+        stop = start + 1
+        n = lens[w]
+        if streak >= GALLOP_STREAK and stop < n:
+            streak = 0
+            ceiling = -1
+            node = (size + w) >> 1
+            while node:
+                o = loser[node]
+                if cur[o] is not None and cl[o] > ceiling:
+                    ceiling = cl[o]
+                node >>= 1
+            # the first window in plain Python (most segments end there),
+            # then numpy windows of doubling size
+            hl = hls[w]
+            end = stop + GALLOP_WINDOW
+            if end > n:
+                end = n
+            while stop < end and hl[stop] > ceiling:
+                stop += 1
+            if stop == end:
+                h_arr = run_h[w]
+                width = 2 * GALLOP_WINDOW
+                while stop < n:
+                    blocked = h_arr[stop : stop + width] <= ceiling
+                    first = int(blocked.argmax())
+                    if blocked[first]:
+                        stop += first
+                        break
+                    stop += width
+                    width *= 2
+                else:
+                    stop = n
+            off = offs[w]
+            parts.append(datas[w][off[start] : off[stop]])
+        else:
+            parts.append(v)
+        pos[w] = stop
+        if stop < n:
+            off = offs[w]
+            a = cur[w] = datas[w][off[stop] : off[stop + 1]]
+            hc = cl[w] = hls[w][stop]
+        else:
+            a = cur[w] = None
+            hc = cl[w] = 0
+
+        # replay w's leaf-to-root path; every cached LCP on it refers to
+        # the string just output (an exhausted run's cached LCP stays 0)
+        cand = w
+        node = (size + w) >> 1
+        while node:
+            o = loser[node]
+            b = cur[o]
+            if a is None:
+                loser[node] = cand
+                cand, a, hc = o, b, cl[o]
+            elif b is not None:
+                ho = cl[o]
+                if ho > hc:
+                    loser[node] = cand
+                    cl[cand] = hc
+                    cand, a, hc = o, b, ho
+                elif ho == hc:
+                    la, lb = len(a), len(b)
+                    lim = la if la < lb else lb
+                    i = hc
+                    while i < lim and a[i] == b[i]:
+                        i += 1
+                    n_cmp += 1
+                    n_chars += i - hc + 1 if i < lim else i - hc
+                    c = la - lb if i == lim else a[i] - b[i]
+                    if c < 0 or (c == 0 and cand < o):
+                        cl[o] = i
+                    else:
+                        loser[node] = cand
+                        cl[cand] = i
+                        cand, a = o, b
+            node >>= 1
+        winner = cand
+        wl = hc if a is not None else 0
+    segs += (prev, seg_start, pos[prev], seg_lcp)
+
+    if stats is not None:
+        stats.string_comparisons += n_cmp
+        stats.chars_inspected += n_chars
+
+    # one gather: output string j is global string idx[j] of the
+    # concatenated runs
+    seg = np.array(segs, dtype=np.int64).reshape(-1, 4)
+    run_base = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(lens, out=run_base[1:])
+    seg_len = seg[:, 2] - seg[:, 1]
+    out_start = np.zeros(len(seg), dtype=np.int64)
+    np.cumsum(seg_len[:-1], out=out_start[1:])
+    idx = np.repeat(run_base[seg[:, 0]] + seg[:, 1] - out_start, seg_len)
+    idx += np.arange(total, dtype=np.int64)
+    all_lens = np.concatenate([r.lengths for r in runs])
     out_off = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_off[1:])
-    out_lcps = np.concatenate(lcp_parts)
+    np.cumsum(all_lens[idx], out=out_off[1:])
+    out_lcps = np.concatenate(run_h)[idx]
+    out_lcps[out_start] = seg[:, 3]
     out_lcps[0] = 0
-    return PackedStringArray(out_buf, out_off), out_lcps
+    buffer = np.frombuffer(b"".join(parts), dtype=np.uint8)
+    return PackedStringArray(buffer, out_off), out_lcps

@@ -13,6 +13,7 @@ failure (so benchmark/CI logs immediately say *what* went wrong) and return a
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -171,27 +172,25 @@ def check_prefix_permutation(
             raise SortCheckError(f"PE prefix boundary violated before PE {r}")
         last = out[-1]
 
-    # every output prefix must be matchable to a distinct input string of
-    # which it is a prefix; greedy matching over sorted inputs suffices
-    # because prefixes sort adjacent to their extensions.
-    remaining = Counter(flat_in)
-    unmatched = 0
-    for pref in flat_out:
-        # exact input string equal to the prefix is the cheapest match
-        if remaining.get(pref, 0) > 0:
-            remaining[pref] -= 1
-            continue
-        found = False
-        for cand in list(remaining):
-            if remaining[cand] > 0 and cand.startswith(pref):
-                remaining[cand] -= 1
-                found = True
-                break
-        if not found:
-            unmatched += 1
-            if unmatched > 0:
-                raise SortCheckError(
-                    f"output prefix {pref!r} does not match any remaining input string"
-                )
+    # every output prefix must be matched to a distinct input string of
+    # which it is a prefix.  The inputs extending a prefix form one
+    # contiguous range of the sorted inputs, found by bisection, and these
+    # ranges nest or are disjoint; so matching the longest prefixes first,
+    # each to the first unmatched input of its range, finds a matching
+    # whenever one exists.  ``skip`` chains every matched position to the
+    # next one that may be free (union-find with path halving).
+    srt = sorted(flat_in)
+    n = len(srt)
+    skip = list(range(n + 1))
+    for pref in sorted(flat_out, key=len, reverse=True):
+        j = bisect_left(srt, pref)
+        while skip[j] != j:
+            skip[j] = skip[skip[j]]
+            j = skip[j]
+        if j == n or not srt[j].startswith(pref):
+            raise SortCheckError(
+                f"output prefix {pref!r} does not match any remaining input string"
+            )
+        skip[j] = j + 1
 
     return CheckReport(num_strings=len(flat_in), num_pes=p)

@@ -1,5 +1,7 @@
 """Unit tests for the sorting-output checkers."""
 
+import time
+
 import pytest
 
 from repro.strings.checker import (
@@ -10,6 +12,8 @@ from repro.strings.checker import (
     check_prefix_permutation,
     check_sequential_sort,
 )
+from repro.strings.generators import dn_instance
+from repro.strings.lcp import distinguishing_prefixes
 
 
 class TestLocallySorted:
@@ -128,3 +132,28 @@ class TestPrefixPermutationCheck:
         outputs = [[b"aa", b"zz"], [b"mm", b"nn"]]
         with pytest.raises(SortCheckError):
             check_prefix_permutation(inputs, outputs)
+
+    def test_rejects_prefix_whose_only_extension_is_taken(self):
+        # "a" extends only to "ab", which the exact output "ab" needs
+        inputs = [[b"ab", b"b"]]
+        outputs = [[b"a", b"ab"]]
+        with pytest.raises(SortCheckError):
+            check_prefix_permutation(inputs, outputs)
+
+    def test_matching_scales_n_log_n(self):
+        # every output is a proper prefix, so no exact match short-cuts the
+        # search: a scan over the unmatched inputs per prefix is quadratic
+        def timed(n):
+            strings = dn_instance(n, 0.5, length=40, seed=3)
+            order = sorted(range(n), key=strings.__getitem__)
+            dist = distinguishing_prefixes(strings)
+            outputs = [[strings[i][: dist[i]] for i in order]]
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                check_prefix_permutation([strings], outputs)
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        small, large = timed(5_000), timed(20_000)
+        assert large / small <= 6, f"t(20k)/t(5k) = {large / small:.1f}"

@@ -2,7 +2,10 @@
 
 import itertools
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.sequential import (
     CharStats,
@@ -12,8 +15,14 @@ from repro.sequential import (
     lcp_multiway_merge,
     multiway_merge,
 )
+from repro.sequential.lcp_losertree import (
+    GALLOP_STREAK,
+    GALLOP_WINDOW,
+    lcp_multiway_merge_packed,
+)
 from repro.strings.generators import duplicate_heavy, random_strings
 from repro.strings.lcp import lcp_array
+from repro.strings.packed import PackedStringArray
 
 
 def _runs_from(strings, k, seed=0):
@@ -171,3 +180,74 @@ class TestBinaryLcpMerge:
         m2, l2 = lcp_multiway_merge([a, b], [lcp_array(a), lcp_array(b)])
         assert m1 == m2
         assert l1 == l2
+
+
+def _packed_matches_oracle(runs):
+    """Merge ``runs`` with the packed kernel and the scalar oracle; compare
+    strings, LCP arrays and every ``CharStats`` field."""
+    runs = [sorted(r) for r in runs]
+    lcps = [lcp_array(r) for r in runs]
+    oracle_stats = CharStats()
+    expected, expected_lcps = lcp_multiway_merge(runs, lcps, oracle_stats)
+    # the runs are zero-copy views into one shared buffer, like buckets cut
+    # out of a received block, so their offsets do not start at zero
+    whole = PackedStringArray.from_strings([b"pad"] + [s for r in runs for s in r])
+    packed_runs, lo = [], 1
+    for r in runs:
+        packed_runs.append(whole[lo : lo + len(r)])
+        lo += len(r)
+    stats = CharStats()
+    merged, merged_lcps = lcp_multiway_merge_packed(
+        packed_runs, [np.asarray(h, dtype=np.int64) for h in lcps], stats
+    )
+    assert merged.to_list() == expected
+    assert merged_lcps.dtype == np.int64
+    assert merged_lcps.tolist() == expected_lcps
+    assert stats == oracle_stats
+
+
+# NUL bytes, empty strings and a three-letter alphabet: many duplicates and
+# shared prefixes, where cached-LCP ties need character comparisons
+_text = st.lists(st.sampled_from(b"\x00ab"), max_size=8).map(bytes)
+
+
+class TestPackedMergeMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_text, max_size=20), max_size=9))
+    def test_arbitrary_runs(self, runs):
+        # covers no runs, empty runs, K = 1 and K not a power of two
+        _packed_matches_oracle(runs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_text, st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    def test_all_equal_runs(self, s, counts):
+        _packed_matches_oracle([[s] * c for c in counts])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 600),
+        st.lists(st.tuples(st.integers(0, 600), _text), max_size=12),
+        st.integers(1, 4),
+    )
+    def test_long_winning_stretches(self, length, cuts, k):
+        # run 0 holds numbered strings and the other runs' strings land
+        # between them, so run 0 wins long stretches; each ends where the
+        # numbering's run-LCP drops to the cached LCP of the next contender
+        run = [b"b%05d" % j for j in range(length)]
+        others = [b"b%05d" % x + s for x, s in cuts]
+        _packed_matches_oracle([run] + [others[i::k] for i in range(k)])
+
+    @pytest.mark.parametrize("doublings", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_gallop_stops_at_window_boundary(self, doublings, shift, blocked):
+        # run A wins from its first string on, so its first gallop starts
+        # after GALLOP_STREAK pops and searches windows of GALLOP_WINDOW,
+        # 2 * GALLOP_WINDOW, ... strings.  The gallop ends at a run-LCP of 1
+        # (a switch from "ma" to "mb", blocked by B's "mz") or at the end
+        # of run A, placed on, just before and just past a window boundary.
+        boundary = GALLOP_STREAK + GALLOP_WINDOW * (2**doublings - 1)
+        run_a = [b"ma%04d" % i for i in range(boundary + shift)]
+        if blocked:
+            run_a += [b"mb%04d" % i for i in range(2 * GALLOP_WINDOW)]
+        _packed_matches_oracle([run_a, [b"mz"]])
